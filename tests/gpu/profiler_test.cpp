@@ -108,6 +108,32 @@ TEST(ProfilerTest, TimelineReportListsStreams) {
   EXPECT_NE(report.find("hidden behind kernels"), std::string::npos);
 }
 
+TEST(ProfilerTest, TimelineGoldenOnInterleavedStreams) {
+  // Streams are issued out of order and interleaved; stream 2's
+  // earliest start arrives last, and stream 10 must sort after stream 2.
+  Profiler p;
+  p.record_interval("up0", OpKind::MemcpyHtoD, 2, 5000.0, 125000.5);
+  p.record_interval("k0", OpKind::Kernel, 10, 125000.5, 402500.25);
+  p.record_interval("up1", OpKind::MemcpyHtoD, 2, 125000.5, 250000.0);
+  p.record_interval("tiler", OpKind::Host, 0, 30000.0, 70000.75);
+  p.record_interval("down0", OpKind::MemcpyDtoH, 3, 402500.25, 480000.0);
+  p.record_interval("k1", OpKind::Kernel, 10, 402500.25, 705000.5);
+  p.record_interval("up2", OpKind::MemcpyHtoD, 2, 1000.0, 2000.0);
+  p.record_interval("down1", OpKind::MemcpyDtoH, 3, 705000.5, 780000.0);
+  p.record_interval("k2", OpKind::Kernel, 1, 700000.0, 700000.4);
+  EXPECT_EQ(p.timeline(),
+            "Stream        #ops    busy(usec)   first(usec)    last(usec)\n"
+            "------------------------------------------------------------\n"
+            "stream 0         1         40001         30000         70001\n"
+            "stream 1         1             0        700000        700000\n"
+            "stream 2         3        246000          1000        250000\n"
+            "stream 3         2        152499        402500        780000\n"
+            "stream 10        2        580000        125000        705000\n"
+            "------------------------------------------------------------\n"
+            "serialized 1.019sec   makespan 0.780sec   saved 0.239sec\n"
+            "transfers 0.398sec, hidden behind kernels 0.202sec (50.8%)\n");
+}
+
 TEST(ProfilerTest, ChromeTraceIsWellFormed) {
   Profiler p;
   p.record_interval("kern\"el", OpKind::Kernel, 1, 0.0, 10.0);
