@@ -100,7 +100,10 @@ SacDownscaler::SacDownscaler(const DownscalerConfig& config, const Options& opti
 SacDownscaler::CudaResult SacDownscaler::run_cuda_chain(int frames, int channels,
                                                         int exec_frames) {
   gpu::VirtualGpu gpu(opts_.device, opts_.workers, opts_.backend);
-  return run_cuda_chain_on(gpu, frames, channels, exec_frames);
+  CudaResult result = run_cuda_chain_on(gpu, frames, channels, exec_frames);
+  result.timeline = gpu.profiler().timeline();
+  if (opts_.capture_trace) result.trace_json = gpu.profiler().chrome_trace_json();
+  return result;
 }
 
 SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu, int frames,
@@ -175,8 +178,6 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
   // fleet device the clock is cumulative, so the job's wall time is the
   // advance since entry.
   result.wall_us = gpu.clock_us() - clock0 + host_profiler.total_us();
-  result.timeline = gpu.profiler().timeline();
-  if (opts_.capture_trace) result.trace_json = gpu.profiler().chrome_trace_json();
   return result;
 }
 
@@ -254,7 +255,10 @@ GaspardDownscaler::GaspardDownscaler(const DownscalerConfig& config, const Optio
 
 GaspardDownscaler::Result GaspardDownscaler::run(int frames, int exec_frames) {
   gpu::VirtualGpu gpu(opts_.device, opts_.workers, opts_.backend);
-  return run_on(gpu, frames, exec_frames);
+  Result result = run_on(gpu, frames, exec_frames);
+  result.timeline = gpu.profiler().timeline();
+  if (opts_.capture_trace) result.trace_json = gpu.profiler().chrome_trace_json();
+  return result;
 }
 
 GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int frames,
@@ -358,8 +362,6 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
       nvprof_style_table(cat("H. Filter (", h_kernels, " kernels)"), result.h,
                          cat("V. Filter (", v_kernels, " kernels)"), result.v);
   result.wall_us = gpu.clock_us() - clock0;
-  result.timeline = gpu.profiler().timeline();
-  if (opts_.capture_trace) result.trace_json = gpu.profiler().chrome_trace_json();
   return result;
 }
 

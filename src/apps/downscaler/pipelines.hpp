@@ -94,8 +94,12 @@ class SacDownscaler {
     /// async_streams this is strictly below the serialized sum whenever
     /// transfers hid behind kernels.
     double wall_us = 0;
-    std::string timeline;    ///< per-stream busy/overlap report
-    std::string trace_json;  ///< Chrome trace (only with capture_trace)
+    /// Per-stream busy/overlap report and Chrome trace (the latter only
+    /// with capture_trace) of the whole device. Only the standalone
+    /// run_cuda_chain() fills them; run_cuda_chain_on() leaves them
+    /// empty, since a fleet device's profiler holds its whole history.
+    std::string timeline;
+    std::string trace_json;
     /// First frame not issued by this call: `frames` when the loop ran
     /// to the end, the gate's stop point otherwise (resume from here).
     int next_frame = 0;
@@ -194,8 +198,10 @@ class GaspardDownscaler {
     IntArray last_output;  ///< first output channel of the last executed frame
     std::string nvprof_table;
     double wall_us = 0;      ///< stream-timeline makespan of the frame loop
-    std::string timeline;    ///< per-stream busy/overlap report
-    std::string trace_json;  ///< Chrome trace (only with capture_trace)
+    /// Filled by run() only, empty from run_on() (see
+    /// SacDownscaler::CudaResult::timeline).
+    std::string timeline;
+    std::string trace_json;
     /// First frame not issued by this call (see
     /// SacDownscaler::CudaResult::next_frame).
     int next_frame = 0;

@@ -18,6 +18,27 @@ std::string pad_right(const std::string& s, std::size_t width) {
   return s + std::string(width - s.size(), ' ');
 }
 
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) out += c;
+    }
+  }
+  return out;
+}
+
 std::string fixed(double value, int decimals) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(decimals) << value;

@@ -44,4 +44,8 @@ std::string pad_right(const std::string& s, std::size_t width);
 /// Formats a double with the given number of decimals.
 std::string fixed(double value, int decimals);
 
+/// Escapes `"`, `\\` and newlines for a JSON string body and drops
+/// other control characters (the trace exports' op and process names).
+std::string json_escape(const std::string& s);
+
 }  // namespace saclo

@@ -37,6 +37,12 @@ inline const char* backend_kind_name(BackendKind kind) {
   return "unknown";
 }
 
+/// How a backend's device clock comes about, for report labels: the
+/// simulator's is modeled, an executing backend's measured.
+inline const char* device_clock_name(BackendKind kind) {
+  return kind == BackendKind::Sim ? "modeled" : "measured";
+}
+
 /// Parses "sim" / "host" / "opencl" / "hc"; throws BackendError on
 /// anything else. Whether the parsed backend is actually available in
 /// this build is checked at construction (make_backend).

@@ -127,29 +127,31 @@ std::string Profiler::table() const {
 }
 
 std::string Profiler::timeline() const {
-  std::string out;
-  out += pad_right("Stream", 10) + pad_left("#ops", 8) + pad_left("busy(usec)", 14) +
-         pad_left("first(usec)", 14) + pad_left("last(usec)", 14) + "\n";
-  out += std::string(60, '-') + "\n";
-  std::set<StreamId> streams;
-  for (const Interval& i : intervals_) streams.insert(i.stream);
-  for (StreamId s : streams) {
+  struct StreamStats {
     std::int64_t ops = 0;
     double busy = 0.0;
     double first = 0.0;
     double last = 0.0;
-    bool any = false;
-    for (const Interval& i : intervals_) {
-      if (i.stream != s) continue;
-      ++ops;
-      busy += i.duration_us();
-      if (!any || i.start_us < first) first = i.start_us;
-      last = std::max(last, i.end_us);
-      any = true;
-    }
-    out += pad_right(cat("stream ", s), 10) + pad_left(std::to_string(ops), 8) +
-           pad_left(fixed(busy, 0), 14) + pad_left(fixed(first, 0), 14) +
-           pad_left(fixed(last, 0), 14) + "\n";
+  };
+  // One sweep in issue order; each stream's sums accumulate in the
+  // same order a per-stream scan would, so the figures are identical.
+  std::map<StreamId, StreamStats> streams;
+  for (const Interval& i : intervals_) {
+    auto [it, fresh] = streams.try_emplace(i.stream);
+    StreamStats& s = it->second;
+    ++s.ops;
+    s.busy += i.duration_us();
+    if (fresh || i.start_us < s.first) s.first = i.start_us;
+    s.last = std::max(s.last, i.end_us);
+  }
+  std::string out;
+  out += pad_right("Stream", 10) + pad_left("#ops", 8) + pad_left("busy(usec)", 14) +
+         pad_left("first(usec)", 14) + pad_left("last(usec)", 14) + "\n";
+  out += std::string(60, '-') + "\n";
+  for (const auto& [id, s] : streams) {
+    out += pad_right(cat("stream ", id), 10) + pad_left(std::to_string(s.ops), 8) +
+           pad_left(fixed(s.busy, 0), 14) + pad_left(fixed(s.first, 0), 14) +
+           pad_left(fixed(s.last, 0), 14) + "\n";
   }
   out += std::string(60, '-') + "\n";
   const OverlapStats st = overlap_stats();
@@ -162,30 +164,7 @@ std::string Profiler::timeline() const {
   return out;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
-
-const char* category_of(OpKind kind) {
+const char* op_category(OpKind kind) {
   switch (kind) {
     case OpKind::Kernel:
       return "kernel";
@@ -198,8 +177,6 @@ const char* category_of(OpKind kind) {
   }
   return "op";
 }
-
-}  // namespace
 
 std::string Profiler::chrome_trace_json() const {
   // The trace_event "JSON Array Format": ts/dur are microseconds, which
@@ -217,7 +194,7 @@ std::string Profiler::chrome_trace_json() const {
   for (const Interval& i : intervals_) {
     if (!first) out += ",";
     first = false;
-    out += cat("{\"name\":\"", json_escape(i.name), "\",\"cat\":\"", category_of(i.kind),
+    out += cat("{\"name\":\"", json_escape(i.name), "\",\"cat\":\"", op_category(i.kind),
                "\",\"ph\":\"X\",\"pid\":0,\"tid\":", i.stream, ",\"ts\":", fixed(i.start_us, 3),
                ",\"dur\":", fixed(i.duration_us(), 3));
     // Traced intervals (serve jobs) carry their owner, so a device dump

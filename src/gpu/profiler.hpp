@@ -14,6 +14,10 @@ namespace saclo::gpu {
 /// nvprof-style report.
 enum class OpKind { Kernel, MemcpyHtoD, MemcpyDtoH, Host };
 
+/// Trace category of an operation kind ("kernel", "memcpy_h2d",
+/// "memcpy_d2h", "host"), shared by every trace export.
+const char* op_category(OpKind kind);
+
 /// Accumulates simulated times per named operation and renders them as
 /// the nvprof-style tables the paper reports (Tables I and II). When
 /// operations are scheduled through the stream timeline it also keeps

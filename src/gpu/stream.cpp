@@ -47,7 +47,7 @@ Timeline::Interval Timeline::schedule(StreamId stream, double duration_us,
       hazards_[h.id].last_write_end_us = std::max(hazards_[h.id].last_write_end_us, end);
     }
   }
-  makespan_ = std::max(makespan_, end);
+  if (end > makespan_us()) makespan_.store(end, std::memory_order_relaxed);
   return Interval{start, end};
 }
 
@@ -78,7 +78,7 @@ double Timeline::tail_us(StreamId stream) const {
 }
 
 void Timeline::synchronize() {
-  for (double& t : tails_) t = std::max(t, makespan_);
+  for (double& t : tails_) t = std::max(t, makespan_us());
 }
 
 }  // namespace saclo::gpu

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -78,7 +79,9 @@ class Timeline {
   void synchronize();
 
   /// Latest end time over every scheduled operation (the wall clock).
-  double makespan_us() const { return makespan_; }
+  /// Safe to read from any thread while the owner schedules (the serve
+  /// runtime stamps events with peer devices' clocks).
+  double makespan_us() const { return makespan_.load(std::memory_order_relaxed); }
 
  private:
   void check_stream(StreamId stream) const;
@@ -91,7 +94,7 @@ class Timeline {
   std::vector<double> tails_{0.0};  // index = StreamId; slot 0 = default stream
   std::vector<double> events_;
   std::map<std::uint64_t, Hazard> hazards_;  // BufferHandle::id -> hazard state
-  double makespan_ = 0.0;
+  std::atomic<double> makespan_{0.0};  // one writer: the scheduling thread
 };
 
 }  // namespace saclo::gpu

@@ -29,16 +29,6 @@ double union_us(std::vector<std::pair<double, double>> spans) {
   return total;
 }
 
-const char* category_name(gpu::OpKind kind) {
-  switch (kind) {
-    case gpu::OpKind::Kernel: return "kernel";
-    case gpu::OpKind::MemcpyHtoD: return "memcpy_h2d";
-    case gpu::OpKind::MemcpyDtoH: return "memcpy_d2h";
-    case gpu::OpKind::Host: return "host";
-  }
-  return "host";
-}
-
 std::string pct(double part, double whole) {
   return whole > 0.0 ? cat(fixed(100.0 * part / whole, 1), "%") : "-";
 }
@@ -59,22 +49,18 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
     DeviceAttribution d;
     d.device = dev.device;
     std::vector<std::pair<double, double>> busy;
+    std::map<gpu::OpKind, std::vector<std::pair<double, double>>> by_kind;
     busy.reserve(dev.intervals.size());
     for (const auto& iv : dev.intervals) {
       const double dur = iv.duration_us();
-      switch (iv.kind) {
-        case gpu::OpKind::Kernel: d.kernel_us += dur; break;
-        case gpu::OpKind::MemcpyHtoD: d.h2d_us += dur; break;
-        case gpu::OpKind::MemcpyDtoH: d.d2h_us += dur; break;
-        case gpu::OpKind::Host: d.host_us += dur; break;
-      }
+      by_kind[iv.kind].emplace_back(iv.start_us, iv.end_us);
       busy.emplace_back(iv.start_us, iv.end_us);
       d.span_us = std::max(d.span_us, iv.end_us);
 
       StageAttribution& stage = stages[iv.name];
       if (stage.name.empty()) {
         stage.name = iv.name;
-        stage.category = category_name(iv.kind);
+        stage.category = gpu::op_category(iv.kind);
       }
       stage.calls += 1;
       stage.total_us += dur;
@@ -87,6 +73,10 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
       }
     }
     d.busy_us = union_us(std::move(busy));
+    d.kernel_us = union_us(std::move(by_kind[gpu::OpKind::Kernel]));
+    d.h2d_us = union_us(std::move(by_kind[gpu::OpKind::MemcpyHtoD]));
+    d.d2h_us = union_us(std::move(by_kind[gpu::OpKind::MemcpyDtoH]));
+    d.host_us = union_us(std::move(by_kind[gpu::OpKind::Host]));
     path.makespan_us = std::max(path.makespan_us, d.span_us);
     path.devices.push_back(std::move(d));
   }
@@ -155,9 +145,10 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
   return path;
 }
 
-std::string critical_path_report(const CriticalPath& path, std::size_t top_stages) {
-  std::string out = cat("critical path — fleet makespan ", fixed(path.makespan_us, 1),
-                        " us (simulated)\n\n");
+std::string critical_path_report(const CriticalPath& path, const char* device_clock,
+                                 std::size_t top_stages) {
+  std::string out = cat("critical path — fleet makespan ", fixed(path.makespan_us, 1), " us (",
+                        device_clock, ")\n\n");
   out += cat(pad_right("device", 8), pad_right("busy", 8), pad_right("kernel", 8), pad_right("h2d", 8), pad_right("d2h", 8),
              pad_right("host", 8), pad_right("idle", 8), pad_right("stalls (preempt/fault/drain)", 30), "\n");
   double fleet_busy = 0.0;

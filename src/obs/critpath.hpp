@@ -9,10 +9,12 @@
 namespace saclo::obs {
 
 /// Where one device's share of the fleet makespan went. Times are
-/// simulated microseconds on the device's own timeline; `span_us` is
-/// the device's last interval end (its local makespan), `busy_us` the
-/// union of its busy intervals (overlapping streams counted once), so
-/// `span_us - busy_us` is true idle gap, not double-counted overlap.
+/// microseconds on the device's own timeline (modeled or measured, see
+/// critical_path_report); `span_us` is the device's last interval end
+/// (its local makespan), `busy_us` the union of its busy intervals
+/// (overlapping streams counted once), so `span_us - busy_us` is true
+/// idle gap, not double-counted overlap. Each category is a union too,
+/// so none exceeds `busy_us`; categories may still overlap each other.
 struct DeviceAttribution {
   int device = 0;
   double kernel_us = 0;
@@ -76,7 +78,10 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
                                    const std::vector<Event>& events);
 
 /// Renders the bottleneck table (the summary `saclo-serve --analyze`
-/// prints). `top_stages` caps the per-stage section.
-std::string critical_path_report(const CriticalPath& path, std::size_t top_stages = 10);
+/// prints). `device_clock` names the spans' clock ("modeled" on the
+/// simulator, "measured" on an executing backend, see
+/// gpu::device_clock_name); `top_stages` caps the per-stage section.
+std::string critical_path_report(const CriticalPath& path, const char* device_clock = "modeled",
+                                 std::size_t top_stages = 10);
 
 }  // namespace saclo::obs

@@ -9,41 +9,6 @@ namespace saclo::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
-
-const char* category_of(gpu::OpKind kind) {
-  switch (kind) {
-    case gpu::OpKind::Kernel:
-      return "kernel";
-    case gpu::OpKind::MemcpyHtoD:
-      return "memcpy_h2d";
-    case gpu::OpKind::MemcpyDtoH:
-      return "memcpy_d2h";
-    case gpu::OpKind::Host:
-      return "host";
-  }
-  return "op";
-}
-
 bool is_instant(EventType type) {
   switch (type) {
     case EventType::DeviceFault:
@@ -145,7 +110,7 @@ std::string merged_chrome_trace(const std::vector<DeviceTrace>& devices,
   for (const DeviceTrace& dev : devices) {
     for (const auto& iv : dev.intervals) {
       std::string ev = cat("{\"name\":\"", json_escape(iv.name), "\",\"cat\":\"",
-                           category_of(iv.kind), "\",\"ph\":\"X\",\"pid\":", dev.device,
+                           gpu::op_category(iv.kind), "\",\"ph\":\"X\",\"pid\":", dev.device,
                            ",\"tid\":", iv.stream, ",\"ts\":", fixed(iv.start_us, 3),
                            ",\"dur\":", fixed(iv.duration_us(), 3));
       if (iv.trace_id != 0) {

@@ -314,17 +314,18 @@ FleetMetrics::Snapshot FleetMetrics::snapshot() const {
   return s;
 }
 
-std::string FleetMetrics::report() const {
+std::string FleetMetrics::report(gpu::BackendKind backend) const {
   const Snapshot s = snapshot();
+  const char* clock = gpu::device_clock_name(backend);
   std::string out;
   out += cat("fleet: ", s.devices.size(), " device(s), ", s.jobs_completed, "/", s.jobs_submitted,
              " jobs done, ", s.frames_completed, " frames\n");
-  out += cat("throughput: ", fixed(s.throughput_fps_sim, 1), " frames/s simulated, ",
+  out += cat("throughput: ", fixed(s.throughput_fps_sim, 1), " frames/s ", clock, ", ",
              fixed(s.throughput_fps_real, 1), " frames/s real\n");
   out += cat("latency (real): p50 ", fixed(s.latency_p50_us / 1e3, 2), "ms  p95 ",
              fixed(s.latency_p95_us / 1e3, 2), "ms  p99 ", fixed(s.latency_p99_us / 1e3, 2),
              "ms  max ", fixed(s.latency_max_us / 1e3, 2), "ms\n");
-  out += cat("sim makespan ", fixed(s.sim_makespan_us / 1e6, 3), "s, sim job p50 ",
+  out += cat(clock, " makespan ", fixed(s.sim_makespan_us / 1e6, 3), "s, ", clock, " job p50 ",
              fixed(s.sim_job_p50_us / 1e3, 2), "ms\n");
   out += cat("health: ", s.device_faults, " device fault(s), ", s.failovers, " failover(s), ",
              s.retries, " retry(s), ", s.jobs_failed, " failed job(s), ", s.degraded_devices,

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "gpu/backend_kind.hpp"
 #include "obs/histogram.hpp"
 #include "serve/admission.hpp"
 #include "serve/allocator.hpp"
@@ -199,8 +200,9 @@ class FleetMetrics {
   };
   Snapshot snapshot() const;
 
-  /// Metrics glossary rendered as a fixed-width text report.
-  std::string report() const;
+  /// Metrics glossary rendered as a fixed-width text report; device-clock
+  /// figures are labeled as `backend`'s clock (modeled or measured).
+  std::string report(gpu::BackendKind backend = gpu::BackendKind::Sim) const;
   /// Machine-readable export (BENCH_serve.json embeds one of these).
   std::string json() const;
   /// Prometheus text exposition (counters, gauges and the latency

@@ -611,7 +611,7 @@ void ServeRuntime::refresh_allocator_stats() {
 
 std::string ServeRuntime::report() {
   refresh_allocator_stats();
-  return metrics_.report();
+  return metrics_.report(options_.backend);
 }
 
 std::string ServeRuntime::metrics_json() {

@@ -267,6 +267,40 @@ TEST(AsyncStreamsTest, AsyncHidesTransfersButSyncDoesNot) {
   EXPECT_NE(async_r.trace_json.find("memcpy_h2d"), std::string::npos);
 }
 
+TEST(AsyncStreamsTest, OnlyStandaloneRunsRenderTheDeviceHistory) {
+  // A shared (fleet) device keeps every interval since start-up; the
+  // *_on entry points must not render it, while the owning wrappers,
+  // whose device ran exactly one job, still fill both reports.
+  TinyFixture f;
+  SacDownscaler::Options sac_opts = f.ng_opts;
+  sac_opts.async_streams = true;
+  sac_opts.capture_trace = true;
+  GaspardDownscaler::Options gaspard_opts;
+  gaspard_opts.workers = 1;
+  gaspard_opts.async_streams = true;
+  gaspard_opts.capture_trace = true;
+  SacDownscaler sac(f.cfg, sac_opts);
+  GaspardDownscaler gaspard(f.cfg, gaspard_opts);
+
+  gpu::VirtualGpu shared(sac_opts.device, 1);
+  for (int job = 0; job < 3; ++job) {
+    const auto s = sac.run_cuda_chain_on(shared, 2, 1, 1);
+    const auto g = gaspard.run_on(shared, 2, 1);
+    EXPECT_TRUE(s.timeline.empty());
+    EXPECT_TRUE(s.trace_json.empty());
+    EXPECT_TRUE(g.timeline.empty());
+    EXPECT_TRUE(g.trace_json.empty());
+  }
+  ASSERT_GT(shared.profiler().intervals().size(), 0u);
+
+  const auto s = sac.run_cuda_chain(2, 1, 1);
+  const auto g = gaspard.run(2, 1);
+  EXPECT_NE(s.timeline.find("hidden behind kernels"), std::string::npos);
+  EXPECT_NE(s.trace_json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(g.timeline.find("hidden behind kernels"), std::string::npos);
+  EXPECT_NE(g.trace_json.find("\"traceEvents\""), std::string::npos);
+}
+
 TEST(PpmTest, WritesValidHeader) {
   const Shape s{8, 12};
   RgbFrame f = synthetic_frame(s, 0);

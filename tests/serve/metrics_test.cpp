@@ -430,5 +430,19 @@ TEST(FleetMetricsTest, ReportMentionsEveryDevice) {
   EXPECT_NE(report.find("throughput"), std::string::npos);
 }
 
+TEST(FleetMetricsTest, ReportNamesTheDeviceClockOfItsBackend) {
+  FleetMetrics m(1);
+  m.on_submit(0);
+  m.on_dispatch(0);
+  m.on_complete(0, job(4, 500.0, 800.0), 1000.0);
+  const std::string sim = m.report(gpu::BackendKind::Sim);
+  EXPECT_NE(sim.find("frames/s modeled, "), std::string::npos) << sim;
+  EXPECT_NE(sim.find("modeled makespan 0.001s, modeled job p50 "), std::string::npos) << sim;
+  const std::string host = m.report(gpu::BackendKind::Host);
+  EXPECT_NE(host.find("frames/s measured, "), std::string::npos) << host;
+  EXPECT_NE(host.find("measured makespan 0.001s, measured job p50 "), std::string::npos) << host;
+  EXPECT_EQ(host.find("sim"), std::string::npos) << host;
+}
+
 }  // namespace
 }  // namespace saclo::serve

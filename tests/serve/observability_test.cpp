@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fmt.hpp"
 #include "obs/histogram.hpp"
 #include "serve/job.hpp"
 #include "serve/scheduler.hpp"
@@ -187,14 +188,18 @@ TEST(ObservabilityTest, PrometheusHistogramAgreesWithJsonReport) {
   // The p95 the JSON report quotes must fall inside the histogram
   // bucket the exposition puts the 95th percentile in — both views
   // derive from one LogHistogram, so disagreement means a broken
-  // exporter.
+  // exporter. Both exports round (JSON p95 to 0.1, `le` to 0.001), so
+  // the check runs on the exact values behind the text: the snapshot's
+  // p95, which the JSON must quote, and each emitted bucket's exact
+  // bound, which its `le` must print.
   std::vector<std::pair<double, std::int64_t>> buckets;  // (le, cumulative)
   std::size_t pos = 0;
   while ((pos = prom.find("saclo_job_latency_us_bucket{le=\"", pos)) != std::string::npos) {
     const std::size_t le_at = pos + std::string("saclo_job_latency_us_bucket{le=\"").size();
     const std::string le_text = prom.substr(le_at, prom.find('"', le_at) - le_at);
     const double le = le_text == "+Inf" ? std::numeric_limits<double>::infinity()
-                                        : std::stod(le_text);
+                                        : obs::LogHistogram::upper_bound(buckets.size());
+    if (le_text != "+Inf") EXPECT_EQ(le_text, fixed(le, 3));
     const std::size_t count_at = prom.find("} ", pos) + 2;
     buckets.emplace_back(le, std::stoll(prom.substr(count_at)));
     ++pos;
@@ -206,7 +211,8 @@ TEST(ObservabilityTest, PrometheusHistogramAgreesWithJsonReport) {
   // LogHistogram::percentile places rank q*(count-1) in the first
   // bucket whose cumulative count exceeds it, and interpolates inside
   // that bucket — so the JSON p95 must land within that bucket's range.
-  const double p95 = json.at("latency_real_us").at("p95").number;
+  const double p95 = run.runtime.metrics().snapshot().latency_p95_us;
+  EXPECT_DOUBLE_EQ(json.at("latency_real_us").at("p95").number, std::stod(fixed(p95, 1)));
   const double rank = 0.95 * static_cast<double>(total - 1);
   double lower = 0.0;
   for (const auto& [le, cum] : buckets) {

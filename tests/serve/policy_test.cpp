@@ -320,8 +320,13 @@ TEST(SchedulerStealTest, IdleDispatcherStealsABackedOffRetry) {
   // idle and degraded-for-placement but healthy-for-work, steals the
   // retry back (backing-off entries are stealable: nothing would ever
   // wake an idle thief when the backoff elapses) and completes it.
+  //
+  // Device 1 starts as a spare elastic slot and joins only once `big`'s
+  // job_dispatched event shows it running on device 0: an active idle
+  // device 1 could otherwise steal `big` before device 0 dequeues it.
   ServeRuntime::Options opts;
-  opts.devices = 2;
+  opts.devices = 1;
+  opts.max_devices = 2;
   opts.work_stealing = true;
   opts.event_log_capacity = 256;
   opts.fault_plan = FaultPlanBuilder().fail_after_kernels(/*device=*/1, /*kernels=*/0).build();
@@ -331,13 +336,24 @@ TEST(SchedulerStealTest, IdleDispatcherStealsABackedOffRetry) {
   ServeRuntime runtime(opts);
 
   JobSpec big;
-  big.frames = 64;  // keeps device 0 busy through the fault + steal
-  auto big_future = runtime.submit(big);  // least-loaded tie-break: device 0
+  big.frames = 256;  // keeps device 0 busy through the fault + steal, with margin
+  auto big_future = runtime.submit(big);  // the only active device: 0
+
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  int big_device = -1;
+  while (big_device < 0 && std::chrono::steady_clock::now() < give_up) {
+    for (const obs::Event& e : runtime.events()) {
+      if (e.type == obs::EventType::JobDispatched) big_device = e.device;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ASSERT_EQ(big_device, 0) << "big must be running on device 0 before device 1 joins";
+  ASSERT_EQ(runtime.scale_up(), 1);
 
   JobSpec small;
   small.frames = 2;
   small.exec_frames = 1;
-  auto small_future = runtime.submit(small);  // placed on device 1, faults instantly
+  auto small_future = runtime.submit(small);  // placed on idle device 1, faults instantly
 
   const JobResult big_result = big_future.get();
   const JobResult small_result = small_future.get();

@@ -608,7 +608,8 @@ int main(int argc, char** argv) {
     if (analyze) {
       const obs::CriticalPath path =
           obs::analyze_critical_path(runtime.device_traces(), runtime.events());
-      std::printf("%s", obs::critical_path_report(path).c_str());
+      std::printf("%s",
+                  obs::critical_path_report(path, gpu::device_clock_name(opts.backend)).c_str());
     }
     bool sink_error = false;
     if (!trace_out.empty() && !write_file(trace_out, runtime.merged_trace_json())) {

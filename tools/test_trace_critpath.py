@@ -58,11 +58,24 @@ class AnalyzeTest(unittest.TestCase):
         self.assertEqual(result["makespan_us"], 200)
         dev0 = result["devices"][0]
         self.assertEqual(dev0["busy"], 150)        # [0,150) union
-        self.assertEqual(dev0["kernel"], 200)      # overlap double in sum
+        self.assertEqual(dev0["kernel"], 150)      # per-category union, not sum
         self.assertEqual(dev0["memcpy_h2d"], 50)
         routes = {r["route"]: r for r in result["routes"]}
         self.assertEqual(routes["sac"]["us"], 200)
         self.assertEqual(routes["gaspard"]["us"], 200)
+
+    def test_overlapping_h2d_streams_stay_within_busy(self):
+        # Two uploads on different streams cover the same 100 us, then a
+        # kernel runs: h2d is their union, not their 200 us sum.
+        parsed = [
+            {"device": 0, "name": "up_a", "cat": "memcpy_h2d", "start": 0, "end": 100},
+            {"device": 0, "name": "up_b", "cat": "memcpy_h2d", "start": 0, "end": 100},
+            {"device": 0, "name": "k", "cat": "kernel", "start": 100, "end": 150},
+        ]
+        dev0 = trace_critpath.analyze(parsed, [])["devices"][0]
+        self.assertEqual(dev0["busy"], 150)
+        self.assertEqual(dev0["memcpy_h2d"], 100)
+        self.assertEqual(dev0["kernel"], 50)
 
     def test_queue_wait_and_stalls_from_events(self):
         parsed = [{"device": 0, "name": "k", "cat": "kernel", "start": 0, "end": 10}]

@@ -11,7 +11,8 @@ without replaying anything:
 From the merged Chrome trace (pid = device, complete "X" events with
 cat kernel / memcpy_h2d / memcpy_d2h / host) it reports, per device,
 the busy interval-union (overlapping streams counted once), the split
-across categories, and idle time against the fleet makespan. Kernel
+across categories (each a union too, so none exceeds busy), and idle
+time against the fleet makespan. Kernel
 spans are classified by route the same way the runtime does: GASPARD's
 chain names its kernels KRN_*, everything else is SaC. The event log
 adds what the trace alone cannot show: queue wait (job_admitted ->
@@ -122,7 +123,7 @@ def analyze(spans, events):
         row = {"device": dev, "busy": union_us([(s["start"], s["end"]) for s in dev_spans]),
                "stalls": defaultdict(int)}
         for cat in SPAN_CATEGORIES:
-            row[cat] = sum(s["end"] - s["start"] for s in dev_spans if s["cat"] == cat)
+            row[cat] = union_us([(s["start"], s["end"]) for s in dev_spans if s["cat"] == cat])
         per_device[dev] = row
     for s in spans:
         entry = stages[(s["name"], s["cat"])]
