@@ -48,7 +48,9 @@ TEST(ServeRuntimeTest, FleetResultsAreBitExactAgainstSingleDevice) {
 TEST(ServeRuntimeTest, SimulatedThroughputScalesAcrossDevices) {
   // The tentpole acceptance criterion: the same 16 jobs on 4 devices
   // finish in at most ~1/4 of the simulated fleet time of 1 device,
-  // so frames/s of simulated time scales >= 3x.
+  // so frames/s of simulated time scales >= 3x. Dispatch starts only
+  // once every job is placed: a job that finished mid-submission would
+  // otherwise shrink its device's backlog and skew placement.
   const int kJobs = 16;
   double fps[2] = {0, 0};
   const int device_counts[2] = {1, 4};
@@ -56,6 +58,7 @@ TEST(ServeRuntimeTest, SimulatedThroughputScalesAcrossDevices) {
     ServeRuntime::Options opts;
     opts.devices = device_counts[i];
     opts.queue_capacity = kJobs;
+    opts.start_paused = true;
     ServeRuntime runtime(opts);
     std::vector<std::future<JobResult>> futures;
     for (int j = 0; j < kJobs; ++j) {
@@ -63,6 +66,7 @@ TEST(ServeRuntimeTest, SimulatedThroughputScalesAcrossDevices) {
       spec.frames = 8;
       futures.push_back(runtime.submit(spec));
     }
+    runtime.resume();
     for (auto& f : futures) f.get();
     runtime.drain();
     fps[i] = runtime.metrics().snapshot().throughput_fps_sim;
