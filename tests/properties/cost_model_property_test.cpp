@@ -13,6 +13,10 @@ struct CostCase {
   DeviceSpec device;
 };
 
+// Without this gtest prints the case as a byte dump, pointers included, so
+// the listed test names changed with every load address.
+std::ostream& operator<<(std::ostream& os, const CostCase& c) { return os << c.device_name; }
+
 class CostModelProperty : public ::testing::TestWithParam<CostCase> {};
 
 TEST_P(CostModelProperty, MonotonicInThreads) {
