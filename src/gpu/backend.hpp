@@ -25,16 +25,13 @@ struct KernelLaunch {
   std::string name;
   std::int64_t threads = 0;
   KernelCost cost;
-  /// The body receives the global thread id. It must be safe to call
-  /// concurrently for distinct ids (single-assignment output, as both
-  /// source languages guarantee).
-  std::function<void(std::int64_t)> body;
-  /// Optional range form of the body: processes every id in
-  /// [begin, end) with a tight inner loop. Backends that execute for
-  /// real (host) prefer this — per-chunk scratch setup is hoisted out
-  /// of the id loop and the loop itself is vectorisable — while the
-  /// simulator keeps calling `body` per id. Must compute exactly what
-  /// `body` computes for each id.
+  /// The body, in range form: processes every global thread id in
+  /// [begin, end) with a tight inner loop, so per-chunk scratch is set
+  /// up once and the id loop is the compiler's to vectorise. Every
+  /// backend runs it through ThreadPool::parallel_for_ranges, whose
+  /// chunks cover [0, threads) exactly once. It must be safe to call
+  /// concurrently for disjoint ranges (single-assignment output, as
+  /// both source languages guarantee).
   std::function<void(std::int64_t, std::int64_t)> range_body;
   /// Device buffers the kernel reads/writes — the data hazards that
   /// order it against operations on other streams. Empty lists mean no
@@ -126,20 +123,10 @@ class ExecutionBackend {
 
 /// Creates a backend of `kind` executing against `spec`, using `pool`
 /// for functional kernel execution. The pool must outlive the backend.
-/// Throws BackendError for a kind this build does not provide (the
-/// OpenCL/HC stubs are behind -DSACLO_BACKEND_OPENCL / -DSACLO_BACKEND_HC).
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const DeviceSpec& spec,
                                                ThreadPool& pool);
 
-/// The backends this build can construct, in BackendKind order. Always
-/// contains Sim and Host; OpenCl/Hc appear when compiled in.
+/// Every backend kind, in BackendKind order: Sim, then Host.
 std::vector<BackendKind> available_backends();
-
-#ifdef SACLO_BACKEND_OPENCL
-std::unique_ptr<ExecutionBackend> make_opencl_backend(const DeviceSpec& spec, ThreadPool& pool);
-#endif
-#ifdef SACLO_BACKEND_HC
-std::unique_ptr<ExecutionBackend> make_hc_backend(const DeviceSpec& spec, ThreadPool& pool);
-#endif
 
 }  // namespace saclo::gpu

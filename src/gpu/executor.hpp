@@ -10,14 +10,15 @@
 namespace saclo::gpu {
 
 /// A fixed-size worker pool used for the *functional* execution of
-/// simulated kernels: every launched kernel body really runs, once per
-/// thread index, so results are bit-exact regardless of the timing
-/// model.
+/// simulated kernels: every launched kernel body really runs, over
+/// every thread index, so results are bit-exact regardless of the
+/// timing model.
 ///
-/// parallel_for partitions [0, n) into per-worker chunks. Worker count
-/// defaults to the host's hardware concurrency; on a single-core host
-/// the pool degenerates to serial execution, which is still correct —
-/// simulated GPU time is produced by the cost model, not by wall-clock.
+/// parallel_for_ranges partitions [0, n) into per-worker chunks. Worker
+/// count defaults to the host's hardware concurrency; on a single-core
+/// host the pool degenerates to serial execution, which is still
+/// correct — simulated GPU time is produced by the cost model, not by
+/// wall-clock.
 class ThreadPool {
  public:
   explicit ThreadPool(unsigned workers = 0);
@@ -28,16 +29,13 @@ class ThreadPool {
 
   unsigned worker_count() const { return static_cast<unsigned>(threads_.size()) + 1; }
 
-  /// Runs fn(i) for every i in [0, n), partitioned across workers.
-  /// Blocks until all iterations complete. Exceptions from fn propagate
-  /// to the caller (first one wins).
-  void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
-
-  /// Range form: each worker receives one contiguous chunk [begin, end)
-  /// and fn is invoked once per chunk. The host-parallel backend's
-  /// entry point for SIMD-friendly kernel bodies — per-chunk scratch is
-  /// set up once and the id loop inside fn is the compiler's to
-  /// vectorise. Same blocking and exception semantics as parallel_for.
+  /// Partitions [0, n) into contiguous chunks, at most one per worker
+  /// (a single chunk when n is small), and invokes fn(begin, end) once
+  /// per chunk: every index is covered exactly once, and n <= 0 is a
+  /// no-op. Per-chunk scratch is set up once inside fn, and the id loop
+  /// there is the compiler's to vectorise. Blocks until all chunks
+  /// complete. Exceptions from fn propagate to the caller (first one
+  /// wins).
   void parallel_for_ranges(std::int64_t n,
                            const std::function<void(std::int64_t, std::int64_t)>& fn);
 

@@ -415,21 +415,31 @@ TEST(ElasticFleetTest, InBackoffRetriesAreRehomedByADrain) {
   opts.devices = 2;
   opts.max_devices = 2;
   opts.queue_capacity = 4;
-  opts.retry_backoff_base_ms = 300.0;  // long enough to drain mid-backoff
-  opts.degraded_cooldown_ms = -1.0;    // device 0 stays degraded
+  // The backoff holds the retry through the drain: the drain follows
+  // the failover event at once, so only a test thread starved for the
+  // whole second could let the retry dispatch on device 1 first. The
+  // cap is raised with the base, or it would clip the gate to 4 ms.
+  opts.retry_backoff_base_ms = 1000.0;
+  opts.retry_backoff_cap_ms = 1000.0;
+  opts.degraded_cooldown_ms = -1.0;  // device 0 stays degraded
   opts.fault_plan = testsupport::FaultPlanBuilder().fail_after_kernels(0, 0).build();
   opts.event_log_capacity = 64;
   ServeRuntime runtime(opts);
 
   // The first job lands on device 0 (least-loaded tie-break), faults on
   // its first kernel, and re-enqueues on device 1 behind the backoff.
+  // The failover event is emitted under the same lock that queues the
+  // retry, and the log keeps it, so waiting on it cannot miss a window.
   auto future = runtime.submit(small_job());
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   auto retry_on_survivor = [&] {
-    return runtime.metrics().snapshot().devices[1].queue_depth == 1;
+    for (const obs::Event& e : runtime.events()) {
+      if (e.type == obs::EventType::Failover && e.device == 0 && e.arg == 1) return true;
+    }
+    return false;
   };
   while (!retry_on_survivor() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   ASSERT_TRUE(retry_on_survivor()) << "retry never reached the survivor's queue";
 

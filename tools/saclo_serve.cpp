@@ -4,7 +4,7 @@
 //
 // Usage:
 //   saclo-serve [--devices N] [--jobs M] [--route sacng|sacg|gaspard|mixed]
-//               [--backend sim|host|opencl|hc]
+//               [--backend sim|host]
 //               [--frames F] [--exec-frames E] [--height H] [--width W]
 //               [--queue-capacity Q] [--no-cache] [--sync-streams]
 //               [--opt-level L] [--batch-max N] [--batch-wait-ms T]
@@ -44,8 +44,8 @@
 // results are bit-exact across backends, so
 //   saclo-serve ... --backend sim --checksum
 //   saclo-serve ... --backend host --checksum
-// must print the same checksum line (the backend-differential CI job
-// gates on exactly this, including under injected faults).
+// must print the same checksum line (the optimizer CI job gates on
+// exactly this, including under injected faults).
 //
 // --autoscale runs the closed-loop fleet controller: the runtime starts
 // at --min-devices, may grow to --max-devices under queue/SLO pressure,
@@ -120,7 +120,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: saclo-serve [--devices N] [--jobs M]\n"
                "                   [--route sacng|sacg|gaspard|mixed] [--frames F]\n"
-               "                   [--backend sim|host|opencl|hc]\n"
+               "                   [--backend sim|host]\n"
                "                   [--exec-frames E] [--height H] [--width W]\n"
                "                   [--queue-capacity Q] [--no-cache] [--sync-streams]\n"
                "                   [--opt-level L] [--batch-max N] [--batch-wait-ms T]\n"
