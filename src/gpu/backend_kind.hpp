@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/error.hpp"
 
@@ -12,9 +14,9 @@ class BackendError : public Error {
   using Error::Error;
 };
 
-/// The execution backends a VirtualGpu can delegate to. `Sim` is the
-/// analytic simulator (the original behaviour); `Host` executes frame
-/// loops for real on the CPU.
+/// The execution backends of a VirtualGpu, which differ only in the
+/// device clock: `Sim` charges the analytic cost model (the original
+/// simulator), `Host` the measured wall time of the same work.
 ///
 /// This header is dependency-light on purpose: the obs event log and the
 /// serve options tag things with a BackendKind without pulling in the
@@ -29,6 +31,11 @@ inline const char* backend_kind_name(BackendKind kind) {
       return "host";
   }
   return "unknown";
+}
+
+/// Every backend kind, in BackendKind order: Sim, then Host.
+inline std::vector<BackendKind> available_backends() {
+  return {BackendKind::Sim, BackendKind::Host};
 }
 
 /// How a backend's device clock comes about, for report labels: the

@@ -67,15 +67,6 @@ class Runtime {
     return out;
   }
 
-  /// Accounts a transfer without moving data (simulated repetition of a
-  /// frame loop).
-  void account_host2device(std::int64_t bytes, StreamId stream = kDefaultStream) {
-    gpu_->account_transfer(bytes, Dir::HostToDevice, kHtoDOp, stream);
-  }
-  void account_device2host(std::int64_t bytes, StreamId stream = kDefaultStream) {
-    gpu_->account_transfer(bytes, Dir::DeviceToHost, kDtoHOp, stream);
-  }
-
   double launch(const KernelLaunch& kernel, bool execute = true,
                 StreamId stream = kDefaultStream) {
     return gpu_->launch(kernel, execute, stream);

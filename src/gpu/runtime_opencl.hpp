@@ -48,7 +48,6 @@ class CommandQueue {
 
   VirtualGpu& gpu() { return *gpu_; }
   const DeviceSpec& spec() const { return gpu_->spec(); }
-  StreamId stream() const { return stream_; }
 
   Buffer create_buffer(std::int64_t bytes) { return Buffer(*gpu_, bytes); }
 
@@ -68,14 +67,9 @@ class CommandQueue {
                    stream_);
   }
 
-  void account_write(std::int64_t bytes) {
-    gpu_->account_transfer(bytes, Dir::HostToDevice, kHtoDOp, stream_);
-  }
-  void account_read(std::int64_t bytes) {
-    gpu_->account_transfer(bytes, Dir::DeviceToHost, kDtoHOp, stream_);
-  }
-  /// Hazard-aware accounting variants: the buffer the transfer fills /
-  /// drains orders it against kernels on other queues.
+  /// Accounts a transfer without moving data (simulated repetition of a
+  /// frame loop). The buffer the transfer fills / drains is its hazard,
+  /// which orders it against kernels on other queues.
   void account_write(const Buffer& dst, std::int64_t bytes) {
     gpu_->account_transfer(bytes, Dir::HostToDevice, kHtoDOp, stream_, dst.handle());
   }

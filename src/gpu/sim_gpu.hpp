@@ -1,11 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "gpu/backend.hpp"
+#include "gpu/backend_kind.hpp"
 #include "gpu/cost_model.hpp"
 #include "gpu/device.hpp"
 #include "gpu/executor.hpp"
@@ -19,16 +20,42 @@ class FaultInjector;
 
 namespace saclo::gpu {
 
-/// The virtual GPU: device memory + a pluggable execution backend + the
-/// analytic multi-stream clock + profiler.
+/// A kernel ready to launch: a name (for profiling), a 1-D thread count
+/// (grids are linearised by the code generators, which matches how both
+/// generated-code styles compute a global id), a static cost descriptor,
+/// and the functional body.
+struct KernelLaunch {
+  std::string name;
+  std::int64_t threads = 0;
+  KernelCost cost;
+  /// The body, in range form: processes every global thread id in
+  /// [begin, end) with a tight inner loop, so per-chunk scratch is set
+  /// up once and the id loop is the compiler's to vectorise. VirtualGpu
+  /// runs it through ThreadPool::parallel_for_ranges, whose chunks
+  /// cover [0, threads) exactly once. It must be safe to call
+  /// concurrently for disjoint ranges (single-assignment output, as
+  /// both source languages guarantee).
+  std::function<void(std::int64_t, std::int64_t)> range_body;
+  /// Device buffers the kernel reads/writes — the data hazards that
+  /// order it against operations on other streams. Empty lists mean no
+  /// cross-stream constraints (single-stream issue stays correct via
+  /// stream order alone).
+  std::vector<BufferHandle> reads;
+  std::vector<BufferHandle> writes;
+};
+
+/// The virtual GPU: device memory + functional execution on a thread
+/// pool + the multi-stream clock + profiler.
 ///
-/// The backend (see gpu/backend.hpp) owns what an operation *does* and
-/// what it costs: `sim` (the default) runs kernel bodies functionally
-/// and charges the calibrated cost model; `host` runs the same bodies
-/// and charges measured wall time. VirtualGpu keeps everything
-/// backend-independent — memory pool, stream timeline, profiling, fault
-/// boundaries — so results are bit-exact across backends by
-/// construction.
+/// The backend is the device clock and nothing else. Both backends run
+/// the same kernel bodies and the same copies in the same issue order,
+/// so results are bit-exact across them by construction; they differ
+/// only in what an executed operation costs: `sim` (the default)
+/// charges the calibrated cost model, `host` the measured wall time.
+/// Accounting-only operations have nothing to measure and charge the
+/// model on both. Every kernel launch and accounted transfer first
+/// consults the fault injector, before any work, so faults fire at the
+/// same operation boundaries on every backend.
 ///
 /// Every operation takes an `execute` flag: with execute=true the data
 /// movement / kernel body really runs (bit-exact results); with
@@ -41,36 +68,25 @@ namespace saclo::gpu {
 /// simulated timeline overlaps — so results are bit-exact regardless of
 /// the stream assignment, provided the issue order itself respects data
 /// dependences (it is the program order of the pipeline).
-class VirtualGpu : private OpBoundaryObserver {
+class VirtualGpu {
  public:
   explicit VirtualGpu(DeviceSpec spec, unsigned workers = 0,
                       BackendKind backend = BackendKind::Sim);
-  ~VirtualGpu() override;
 
   const DeviceSpec& spec() const { return spec_; }
   DeviceMemoryPool& memory() { return memory_; }
-  /// The execution backend every kernel launch and accounted transfer
-  /// routes through.
-  ExecutionBackend& backend() { return *backend_; }
-  BackendKind backend_kind() const { return backend_->kind(); }
-  const char* backend_name() const { return backend_->name(); }
+  BackendKind backend_kind() const { return backend_; }
+  const char* backend_name() const { return backend_kind_name(backend_); }
   /// The allocator buffer creation routes through: an installed caching
-  /// layer (serve's CachingDeviceAllocator) first, then the backend's
-  /// own device storage if it has one, then the host-backed memory
-  /// pool. Install with nullptr to restore the default chain.
-  BufferAllocator& allocator() {
-    if (allocator_ != nullptr) return *allocator_;
-    if (BufferAllocator* dev = backend_->device_allocator(); dev != nullptr) return *dev;
-    return memory_;
-  }
+  /// layer (serve's CachingDeviceAllocator) if any, else the memory
+  /// pool. Install with nullptr to restore the pool.
+  BufferAllocator& allocator() { return allocator_ != nullptr ? *allocator_ : memory_; }
   void set_allocator(BufferAllocator* allocator) { allocator_ = allocator; }
   /// Installs a fault injector the device consults before every kernel
   /// launch and accounted transfer (fail-stop: a faulted operation does
   /// not run and accrues no simulated time). nullptr uninstalls —
   /// that's also the default, so the fault machinery costs nothing when
   /// unused. The injector must outlive the device or be uninstalled.
-  /// Faults fire from the backend's op-boundary callbacks, so the
-  /// boundaries are identical on every backend.
   void set_fault_injector(fault::FaultInjector* injector) { fault_ = injector; }
   fault::FaultInjector* fault_injector() const { return fault_; }
   Profiler& profiler() { return profiler_; }
@@ -96,11 +112,7 @@ class VirtualGpu : private OpBoundaryObserver {
   double stream_tail_us(StreamId stream) const { return timeline_.tail_us(stream); }
 
   /// Creates a new stream (cudaStreamCreate / clCreateCommandQueue).
-  StreamId create_stream() {
-    const StreamId s = timeline_.create_stream();
-    backend_->on_stream_created(s);
-    return s;
-  }
+  StreamId create_stream() { return timeline_.create_stream(); }
   /// Captures the tail of `stream` as an event (cudaEventRecord).
   EventId record_event(StreamId stream) { return timeline_.record_event(stream); }
   /// Orders `stream` after `event` (cudaStreamWaitEvent).
@@ -130,12 +142,13 @@ class VirtualGpu : private OpBoundaryObserver {
   void account_transfer(std::int64_t bytes, Dir dir, const std::string& op,
                         StreamId stream = kDefaultStream, BufferHandle touched = {});
 
-  /// Launches a kernel; returns its duration in microseconds.
+  /// Launches a kernel (the body runs only when `execute`); returns its
+  /// duration in microseconds.
   double launch(const KernelLaunch& kernel, bool execute, StreamId stream = kDefaultStream);
 
   /// Accrues the time of a kernel launch without running the body.
   double account_launch(const KernelLaunch& kernel, StreamId stream = kDefaultStream) {
-    return launch_impl(kernel, false, stream);
+    return launch(kernel, false, stream);
   }
 
   /// Schedules `us` microseconds of host-side work (a tiler loop, glue
@@ -145,22 +158,22 @@ class VirtualGpu : private OpBoundaryObserver {
   double run_host(const std::string& op, double us, StreamId stream);
 
  private:
-  double launch_impl(const KernelLaunch& kernel, bool execute, StreamId stream);
-
-  // The backend's op-boundary callbacks, fired exactly once before each
-  // kernel launch / accounted transfer — where the fault injector hooks
-  // in, on every backend alike.
-  void on_kernel_boundary(const KernelLaunch& kernel) override;
-  void on_transfer_boundary(Dir dir, std::int64_t bytes) override;
+  /// Fault boundary, copy (when `execute` and there is data) and
+  /// duration of one accounted transfer. `dst` and `src` have the same
+  /// size, or are both empty for an accounting-only repetition.
+  double transfer_us(Dir dir, std::span<std::byte> dst, std::span<const std::byte> src,
+                     std::int64_t bytes, bool execute);
+  /// Places a transfer of `us` on `stream`'s timeline and profiles it;
+  /// `touched` is its device-side hazard (invalid for none).
+  void schedule_transfer(double us, Dir dir, const std::string& op, StreamId stream,
+                         BufferHandle touched);
 
   DeviceSpec spec_;
   DeviceMemoryPool memory_;
   BufferAllocator* allocator_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
   ThreadPool pool_;
-  // Declared after pool_: the backend holds a reference to the pool and
-  // must be destroyed first.
-  std::unique_ptr<ExecutionBackend> backend_;
+  BackendKind backend_;
   Profiler profiler_;
   Timeline timeline_;
 };

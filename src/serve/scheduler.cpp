@@ -5,7 +5,6 @@
 #include <map>
 
 #include "core/fmt.hpp"
-#include "gpu/backend.hpp"
 #include "gpu/backend_kind.hpp"
 #include "obs/export.hpp"
 
@@ -55,6 +54,14 @@ ServeRuntime::ServeRuntime(const Options& options)
   }
   if (options_.max_retries < 0) {
     throw ServeError(cat("max_retries must be >= 0, got ", options_.max_retries));
+  }
+  if (options_.retry_backoff_base_ms < 0) {
+    throw ServeError(
+        cat("retry_backoff_base_ms must be >= 0, got ", options_.retry_backoff_base_ms));
+  }
+  if (options_.retry_backoff_cap_ms < options_.retry_backoff_base_ms) {
+    throw ServeError(cat("retry_backoff_cap_ms ", options_.retry_backoff_cap_ms,
+                         " is below retry_backoff_base_ms ", options_.retry_backoff_base_ms));
   }
   if (options_.batch_max < 1) {
     throw ServeError(cat("batch_max must be >= 1, got ", options_.batch_max));

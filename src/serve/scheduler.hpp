@@ -69,9 +69,8 @@ class ServeRuntime {
     gpu::DeviceSpec device = gpu::gtx480();
     gpu::HostSpec host = gpu::i7_930();
     unsigned workers_per_device = 1;  ///< thread-pool width for functional kernels
-    /// Execution backend every fleet device delegates to (see
-    /// gpu/backend.hpp). Results are bit-exact across backends; only
-    /// how op durations are produced differs.
+    /// Device clock of every fleet device (see gpu/sim_gpu.hpp): model
+    /// or measured wall time. Results are bit-exact across backends.
     gpu::BackendKind backend = gpu::BackendKind::Sim;
     bool async_streams = true;        ///< per-job double-buffered stream overlap
     bool cache_buffers = true;        ///< install the caching device allocator
@@ -154,7 +153,8 @@ class ServeRuntime {
     /// job is re-enqueued before its future carries the fault instead.
     int max_retries = 3;
     /// Capped exponential backoff before a retried job may dispatch
-    /// again: min(base * 2^(attempt-1), cap) real milliseconds.
+    /// again: min(base * 2^(attempt-1), cap) real milliseconds. The
+    /// constructor rejects base < 0 and cap < base.
     double retry_backoff_base_ms = 0.25;
     double retry_backoff_cap_ms = 4.0;
     /// Real-time cooldown after which a degraded device becomes

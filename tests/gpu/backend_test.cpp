@@ -1,72 +1,61 @@
-// Backend-conformance suite: every ExecutionBackend must honour the
-// contract of gpu/backend.hpp — boundary callbacks exactly once per op,
-// before any work, fail-stop on an observer throw, bit-exact functional
-// execution over range chunks that cover every thread id once, and (via
-// VirtualGpu) fault injection firing at identical op boundaries on
-// every backend.
+// Backend-conformance suite: a VirtualGpu of every available backend,
+// driven through a fault::FaultInjector, must cross the same op
+// boundaries exactly once per op, fail-stop before any work at a faulted
+// boundary, run range chunks that cover every thread id once, and give
+// bit-exact results. The backends differ only in the device clock.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <numeric>
 #include <span>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "gpu/backend.hpp"
-#include "gpu/executor.hpp"
 #include "gpu/sim_gpu.hpp"
 
 namespace saclo::gpu {
 namespace {
 
-/// Records every boundary notification in order.
-class RecordingObserver : public OpBoundaryObserver {
- public:
-  struct Boundary {
-    bool is_kernel = false;
-    std::string kernel;       // kernel boundaries
-    Dir dir = Dir::HostToDevice;  // transfer boundaries
-    std::int64_t bytes = 0;
-  };
+/// The injector's (kernels_seen, transfers_seen) after one op.
+using Seen = std::pair<std::int64_t, std::int64_t>;
 
-  void on_kernel_boundary(const KernelLaunch& kernel) override {
-    boundaries.push_back({true, kernel.name, Dir::HostToDevice, 0});
-  }
-  void on_transfer_boundary(Dir dir, std::int64_t bytes) override {
-    boundaries.push_back({false, "", dir, bytes});
-  }
+Seen seen(const fault::FaultInjector& injector) {
+  return {injector.kernels_seen(), injector.transfers_seen()};
+}
 
-  std::vector<Boundary> boundaries;
-};
+/// A fault plan that faults every kernel and transfer boundary.
+std::vector<fault::FaultSpec> dead_device() {
+  fault::FaultSpec dead;
+  dead.after_ms = 0;
+  dead.recurring = true;
+  return {dead};
+}
 
-/// A fixed op sequence driven straight at a backend: two kernels (one
-/// executed, one accounting-only) around two transfers. Returns the
-/// output the executed kernel produced.
-std::vector<std::int32_t> drive_sequence(ExecutionBackend& backend, RecordingObserver& observer) {
-  backend.set_boundary_observer(&observer);
-
+/// A fixed op sequence: an upload, an executed and an accounting-only
+/// kernel, an accounting-only transfer and a download. Appends the
+/// boundary counts after each op to `boundaries` and returns the
+/// download.
+std::vector<std::int32_t> drive_sequence(VirtualGpu& gpu, const fault::FaultInjector& injector,
+                                         std::vector<Seen>& boundaries) {
   std::vector<std::int32_t> data(64);
   std::iota(data.begin(), data.end(), 1);
-  std::vector<std::int32_t> device(64);
-
-  auto bytes_of = [](std::vector<std::int32_t>& v) {
-    return std::span<std::byte>(reinterpret_cast<std::byte*>(v.data()), v.size() * 4);
-  };
-  backend.transfer(Dir::HostToDevice, bytes_of(device),
-                   std::span<const std::byte>(bytes_of(data)), 64 * 4, /*execute=*/true);
+  const BufferHandle buf = gpu.alloc(64 * 4);
+  gpu.copy_h2d(buf, std::as_bytes(std::span<const std::int32_t>(data)), "h2d", true);
+  boundaries.push_back(seen(injector));
 
   KernelLaunch scale;
   scale.name = "scale2";
   scale.threads = 64;
-  std::span<std::int32_t> dev(device);
+  auto dev = gpu.memory().view<std::int32_t>(buf);
   scale.range_body = [dev](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) dev[static_cast<std::size_t>(i)] *= 2;
   };
-  backend.launch_kernel(scale, /*execute=*/true);
+  gpu.launch(scale, /*execute=*/true);
+  boundaries.push_back(seen(injector));
 
   KernelLaunch accounted;
   accounted.name = "accounted";
@@ -74,11 +63,15 @@ std::vector<std::int32_t> drive_sequence(ExecutionBackend& backend, RecordingObs
   accounted.range_body = [](std::int64_t, std::int64_t) {
     FAIL() << "execute=false must not run the body";
   };
-  backend.launch_kernel(accounted, /*execute=*/false);
+  gpu.launch(accounted, /*execute=*/false);
+  boundaries.push_back(seen(injector));
+
+  gpu.account_transfer(64 * 4, Dir::HostToDevice, "h2d", kDefaultStream, buf);
+  boundaries.push_back(seen(injector));
 
   std::vector<std::int32_t> back(64);
-  backend.transfer(Dir::DeviceToHost, bytes_of(back), std::span<const std::byte>(bytes_of(device)),
-                   64 * 4, /*execute=*/true);
+  gpu.copy_d2h(std::as_writable_bytes(std::span<std::int32_t>(back)), buf, "d2h", true);
+  boundaries.push_back(seen(injector));
   return back;
 }
 
@@ -99,83 +92,111 @@ TEST(BackendTest, KindNamesRoundTrip) {
   EXPECT_THROW(parse_backend_kind("hc"), BackendError);
 }
 
-// The conformance core: every available backend reports the exact same
-// boundary sequence for the same op sequence, and produces bit-exact
-// results. This is the invariant that makes fault injection and the
-// differential suites backend-agnostic.
+// The conformance core: every backend crosses the exact same boundary
+// sequence for the same op sequence, one boundary per op, accounting-only
+// ops included, and produces bit-exact results. This is the invariant
+// that makes fault injection and the differential suites backend-agnostic.
 TEST(BackendTest, AllBackendsReportIdenticalOpBoundaries) {
-  ThreadPool pool(2);
-  std::vector<RecordingObserver::Boundary> reference;
-  std::vector<std::int32_t> reference_out;
+  const std::vector<Seen> expected = {{0, 1}, {1, 1}, {2, 1}, {2, 2}, {2, 3}};
+  std::vector<std::int32_t> reference;
   for (BackendKind kind : available_backends()) {
-    auto backend = make_backend(kind, gtx480(), pool);
-    EXPECT_EQ(backend->kind(), kind);
-    EXPECT_STREQ(backend->name(), backend_kind_name(kind));
-    RecordingObserver observer;
-    const std::vector<std::int32_t> out = drive_sequence(*backend, observer);
+    VirtualGpu gpu(gtx480(), 2, kind);
+    fault::FaultInjector injector;
+    gpu.set_fault_injector(&injector);
+    std::vector<Seen> boundaries;
+    const std::vector<std::int32_t> out = drive_sequence(gpu, injector, boundaries);
 
-    ASSERT_EQ(observer.boundaries.size(), 4u) << backend->name();
-    EXPECT_FALSE(observer.boundaries[0].is_kernel);
-    EXPECT_TRUE(observer.boundaries[1].is_kernel);
-    EXPECT_TRUE(observer.boundaries[2].is_kernel)
-        << "accounting-only ops still cross the boundary";
-    EXPECT_FALSE(observer.boundaries[3].is_kernel);
-
-    if (reference.empty()) {
-      reference = observer.boundaries;
-      reference_out = out;
-      continue;
-    }
-    ASSERT_EQ(observer.boundaries.size(), reference.size()) << backend->name();
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(observer.boundaries[i].is_kernel, reference[i].is_kernel) << backend->name();
-      EXPECT_EQ(observer.boundaries[i].kernel, reference[i].kernel) << backend->name();
-      EXPECT_EQ(observer.boundaries[i].dir, reference[i].dir) << backend->name();
-      EXPECT_EQ(observer.boundaries[i].bytes, reference[i].bytes) << backend->name();
-    }
-    EXPECT_EQ(out, reference_out) << backend->name() << " diverged functionally";
+    EXPECT_EQ(boundaries, expected) << backend_kind_name(kind);
+    EXPECT_EQ(injector.faults_fired(), 0) << backend_kind_name(kind);
+    if (reference.empty()) reference = out;
+    EXPECT_EQ(out, reference) << backend_kind_name(kind) << " diverged functionally";
   }
+  EXPECT_EQ(reference[63], 128);
 }
 
-// Fail-stop: an observer that throws (the fault injector's behaviour)
-// must abort the op before any work happened, on every backend.
-TEST(BackendTest, ObserverThrowAbortsTheOpBeforeAnyWork) {
-  class ThrowingObserver : public OpBoundaryObserver {
-   public:
-    void on_kernel_boundary(const KernelLaunch&) override {
-      throw fault::DeviceFault("injected");
-    }
-    void on_transfer_boundary(Dir, std::int64_t) override {
-      throw fault::DeviceFault("injected");
-    }
-  };
-
-  ThreadPool pool(1);
+// Fail-stop: a faulted boundary aborts the op before any work, on every
+// backend — the body does not run and no data moves.
+TEST(BackendTest, InjectedFaultAbortsTheOpBeforeAnyWork) {
   for (BackendKind kind : available_backends()) {
-    auto backend = make_backend(kind, gtx480(), pool);
-    ThrowingObserver observer;
-    backend->set_boundary_observer(&observer);
+    fault::FaultInjector injector(dead_device());
+    VirtualGpu gpu(gtx480(), 1, kind);
+    gpu.set_fault_injector(&injector);
 
     bool ran = false;
     KernelLaunch k;
     k.name = "never";
     k.threads = 4;
     k.range_body = [&ran](std::int64_t, std::int64_t) { ran = true; };
-    EXPECT_THROW(backend->launch_kernel(k, true), fault::DeviceFault) << backend->name();
-    EXPECT_FALSE(ran) << backend->name() << " ran the body past a faulted boundary";
+    EXPECT_THROW(gpu.launch(k, true), fault::DeviceFault) << backend_kind_name(kind);
+    EXPECT_FALSE(ran) << backend_kind_name(kind) << " ran the body past a faulted boundary";
 
-    std::vector<std::int32_t> src(8, 7);
+    const BufferHandle buf = gpu.alloc(32);
+    auto device = gpu.memory().view<std::int32_t>(buf);
+    std::fill(device.begin(), device.end(), 3);
+    const std::vector<std::int32_t> src(8, 7);
+    EXPECT_THROW(gpu.copy_h2d(buf, std::as_bytes(std::span<const std::int32_t>(src)), "h2d", true),
+                 fault::DeviceFault)
+        << backend_kind_name(kind);
+    EXPECT_TRUE(std::all_of(device.begin(), device.end(), [](std::int32_t x) { return x == 3; }))
+        << backend_kind_name(kind) << " uploaded past a faulted boundary";
+
     std::vector<std::int32_t> dst(8, 0);
     EXPECT_THROW(
-        backend->transfer(Dir::HostToDevice,
-                          std::span<std::byte>(reinterpret_cast<std::byte*>(dst.data()), 32),
-                          std::span<const std::byte>(
-                              reinterpret_cast<const std::byte*>(src.data()), 32),
-                          32, true),
+        gpu.copy_d2h(std::as_writable_bytes(std::span<std::int32_t>(dst)), buf, "d2h", true),
         fault::DeviceFault)
-        << backend->name();
+        << backend_kind_name(kind);
     EXPECT_EQ(dst, std::vector<std::int32_t>(8, 0))
-        << backend->name() << " moved data past a faulted boundary";
+        << backend_kind_name(kind) << " downloaded past a faulted boundary";
+    EXPECT_EQ(injector.faults_fired(), 3) << backend_kind_name(kind);
+  }
+}
+
+// A faulted op accrues no device time and leaves no profiler row, on
+// every backend: the fault fires before the op reaches the timeline.
+TEST(BackendTest, FaultedOpLeavesClockAndProfilerEmpty) {
+  for (BackendKind kind : available_backends()) {
+    fault::FaultInjector injector(dead_device());
+    VirtualGpu gpu(gtx480(), 1, kind);
+    gpu.set_fault_injector(&injector);
+
+    KernelLaunch k;
+    k.name = "faulted";
+    k.threads = 256;
+    k.range_body = [](std::int64_t, std::int64_t) {};
+    EXPECT_THROW(gpu.launch(k, true), fault::DeviceFault) << backend_kind_name(kind);
+    EXPECT_THROW(gpu.account_launch(k), fault::DeviceFault) << backend_kind_name(kind);
+    EXPECT_THROW(gpu.account_transfer(1024, Dir::DeviceToHost, "d2h"), fault::DeviceFault)
+        << backend_kind_name(kind);
+
+    EXPECT_EQ(gpu.clock_us(), 0.0) << backend_kind_name(kind);
+    EXPECT_TRUE(gpu.profiler().rows().empty()) << backend_kind_name(kind);
+    EXPECT_TRUE(gpu.profiler().intervals().empty()) << backend_kind_name(kind);
+  }
+}
+
+// A silent (account=false) copy is a device-resident handoff, not PCIe
+// traffic: it moves the data but crosses no fault boundary and accrues
+// no time, on every backend.
+TEST(BackendTest, SilentCopyCrossesNoBoundaryAndAccruesNoTime) {
+  for (BackendKind kind : available_backends()) {
+    fault::FaultInjector injector(dead_device());
+    VirtualGpu gpu(gtx480(), 1, kind);
+    gpu.set_fault_injector(&injector);
+
+    const BufferHandle buf = gpu.alloc(32);
+    const std::vector<std::int32_t> src(8, 9);
+    gpu.copy_h2d(buf, std::as_bytes(std::span<const std::int32_t>(src)), "h2d", true,
+                 /*account=*/false);
+    std::vector<std::int32_t> dst(8, 0);
+    gpu.copy_d2h(std::as_writable_bytes(std::span<std::int32_t>(dst)), buf, "d2h", true,
+                 /*account=*/false);
+
+    EXPECT_EQ(dst, src) << backend_kind_name(kind);
+    EXPECT_EQ(seen(injector), Seen(0, 0)) << backend_kind_name(kind);
+    EXPECT_EQ(injector.faults_fired(), 0) << backend_kind_name(kind);
+    EXPECT_EQ(gpu.clock_us(), 0.0) << backend_kind_name(kind);
+    EXPECT_TRUE(gpu.profiler().rows().empty()) << backend_kind_name(kind);
+    EXPECT_TRUE(gpu.profiler().intervals().empty()) << backend_kind_name(kind);
   }
 }
 
@@ -183,10 +204,9 @@ TEST(BackendTest, ObserverThrowAbortsTheOpBeforeAnyWork) {
 // exactly once, whether the kernel has fewer threads than the pool has
 // workers, as many, or more.
 TEST(BackendTest, RangeBodyChunksCoverEveryThreadExactlyOnce) {
-  ThreadPool pool(3);
-  const std::int64_t workers = pool.worker_count();
   for (BackendKind kind : available_backends()) {
-    auto backend = make_backend(kind, gtx480(), pool);
+    VirtualGpu gpu(gtx480(), 3, kind);
+    const std::int64_t workers = gpu.thread_pool().worker_count();
     for (const std::int64_t threads : {workers - 1, workers, 2 * workers, 1000 * workers + 1}) {
       std::vector<std::atomic<int>> hits(static_cast<std::size_t>(threads));
       std::atomic<bool> in_bounds{true};
@@ -197,21 +217,20 @@ TEST(BackendTest, RangeBodyChunksCoverEveryThreadExactlyOnce) {
         if (begin < 0 || begin >= end || end > threads) in_bounds = false;
         for (std::int64_t i = begin; i < end; ++i) hits[static_cast<std::size_t>(i)]++;
       };
-      backend->launch_kernel(k, true);
-      EXPECT_TRUE(in_bounds.load()) << backend->name() << " threads=" << threads;
+      gpu.launch(k, true);
+      EXPECT_TRUE(in_bounds.load()) << backend_kind_name(kind) << " threads=" << threads;
       for (std::int64_t i = 0; i < threads; ++i) {
         ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
-            << backend->name() << " threads=" << threads << " id=" << i;
+            << backend_kind_name(kind) << " threads=" << threads << " id=" << i;
       }
     }
   }
 }
 
-// Durations: the sim backend charges the analytic model for executed
-// and accounting-only launches alike; the host backend measures the
-// wall clock for executed ops and falls back to the model otherwise.
+// Durations: sim charges the analytic model for executed and
+// accounting-only ops alike; host measures the wall clock for executed
+// ops and falls back to the model otherwise.
 TEST(BackendTest, DurationsArePositiveAndModelExactForSim) {
-  ThreadPool pool(1);
   KernelLaunch k;
   k.name = "noop";
   k.threads = 256;
@@ -220,19 +239,23 @@ TEST(BackendTest, DurationsArePositiveAndModelExactForSim) {
   const DeviceSpec spec = gtx480();
   const double modeled = kernel_time_us(spec, k.threads, k.cost);
 
-  auto sim = make_backend(BackendKind::Sim, spec, pool);
-  EXPECT_DOUBLE_EQ(sim->launch_kernel(k, true), modeled);
-  EXPECT_DOUBLE_EQ(sim->launch_kernel(k, false), modeled);
+  VirtualGpu sim(spec, 1);
+  EXPECT_DOUBLE_EQ(sim.launch(k, true), modeled);
+  EXPECT_DOUBLE_EQ(sim.launch(k, false), modeled);
+  const BufferHandle buf = sim.alloc(4096);
+  const std::vector<std::byte> bytes(4096);
+  sim.copy_h2d(buf, bytes, "h2d", true);
+  EXPECT_DOUBLE_EQ(sim.clock_us(), 2 * modeled + transfer_time_us(spec, 4096, Dir::HostToDevice));
 
-  auto host = make_backend(BackendKind::Host, spec, pool);
-  EXPECT_GT(host->launch_kernel(k, true), 0.0);
-  EXPECT_DOUBLE_EQ(host->launch_kernel(k, false), modeled)
+  VirtualGpu host(spec, 1, BackendKind::Host);
+  EXPECT_GT(host.launch(k, true), 0.0);
+  EXPECT_DOUBLE_EQ(host.launch(k, false), modeled)
       << "accounting-only ops have nothing to measure: model time";
 }
 
-// Fault-boundary parity through the full VirtualGpu stack: the same
-// fault plan interrupts the same op, at the same count, on both
-// backends — the injector never sees which backend is underneath.
+// Fault-boundary parity: the same fault plan interrupts the same op, at
+// the same count, on both backends — the injector never sees which
+// backend is underneath.
 TEST(BackendTest, FaultInjectionFiresAtTheSameBoundaryOnEveryBackend) {
   const auto ops_before_fault = [](BackendKind kind) {
     fault::FaultSpec spec;

@@ -212,5 +212,24 @@ TEST(BatchingTest, InvalidBatchingOptionsAreRejected) {
   EXPECT_THROW(spec.validate(), ServeError);
 }
 
+TEST(BatchingTest, InvalidRetryBackoffIsRejected) {
+  {
+    ServeRuntime::Options opts;
+    opts.retry_backoff_base_ms = -0.5;
+    EXPECT_THROW(ServeRuntime runtime(opts), ServeError);
+  }
+  {
+    ServeRuntime::Options opts;
+    opts.retry_backoff_base_ms = 5.0;
+    opts.retry_backoff_cap_ms = 4.0;
+    EXPECT_THROW(ServeRuntime runtime(opts), ServeError) << "a base above its cap";
+  }
+  ServeRuntime::Options opts;
+  opts.devices = 1;
+  opts.retry_backoff_base_ms = 4.0;
+  opts.retry_backoff_cap_ms = 4.0;
+  EXPECT_NO_THROW(ServeRuntime runtime(opts)) << "base == cap is a constant backoff";
+}
+
 }  // namespace
 }  // namespace saclo::serve
