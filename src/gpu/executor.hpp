@@ -19,7 +19,10 @@ namespace saclo::gpu {
 /// host the pool degenerates to serial execution, which is still
 /// correct — simulated GPU time is produced by the cost model, not by
 /// wall-clock.
-class ThreadPool {
+/// Cache-line aligned: workers write the mutex and condition variables
+/// on every chunk, so no field its owner reads per operation may share
+/// their line (that false sharing slowed every launch).
+class alignas(64) ThreadPool {
  public:
   explicit ThreadPool(unsigned workers = 0);
   ~ThreadPool();

@@ -19,7 +19,10 @@ BufferHandle DeviceMemoryPool::allocate(std::int64_t bytes) {
                                 " available"));
   }
   BufferHandle h{next_id_++, bytes};
-  buffers_.emplace(h.id, Block{std::vector<std::byte>(static_cast<std::size_t>(bytes)), reserved});
+  const auto size = static_cast<std::size_t>(bytes);
+  std::unique_ptr<std::byte[], AlignedDelete> data(
+      new (std::align_val_t{kAlignment}) std::byte[size]());  // zero-filled
+  buffers_.emplace(h.id, Block{std::move(data), size, reserved});
   used_ += reserved;
   if (used_ > peak_) peak_ = used_;
   return h;
@@ -45,7 +48,7 @@ std::span<std::byte> DeviceMemoryPool::bytes(BufferHandle handle) {
   if (it == buffers_.end()) {
     throw DeviceMemoryError(cat("access to invalid device buffer id ", handle.id));
   }
-  return it->second.data;
+  return {it->second.data.get(), it->second.size};
 }
 
 std::span<const std::byte> DeviceMemoryPool::bytes(BufferHandle handle) const {
@@ -53,7 +56,7 @@ std::span<const std::byte> DeviceMemoryPool::bytes(BufferHandle handle) const {
   if (it == buffers_.end()) {
     throw DeviceMemoryError(cat("access to invalid device buffer id ", handle.id));
   }
-  return it->second.data;
+  return {it->second.data.get(), it->second.size};
 }
 
 }  // namespace saclo::gpu

@@ -3,8 +3,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <new>
 #include <span>
-#include <vector>
 
 #include "core/error.hpp"
 
@@ -39,11 +40,12 @@ class BufferAllocator {
 };
 
 /// Simulated device global memory: allocations are backed by host
-/// vectors (so kernels can execute functionally) while capacity
+/// memory (so kernels can execute functionally) while capacity
 /// accounting enforces the device's memory size.
 ///
-/// Like cudaMalloc, every allocation is aligned: capacity accounting
-/// rounds the block up to kAlignment bytes (the backing store keeps the
+/// Like cudaMalloc, every allocation starts on a kAlignment boundary,
+/// so kernel speed does not follow the heap's history, and capacity
+/// accounting rounds it up to kAlignment bytes (the store keeps the
 /// exact requested size so typed views stay tight).
 class DeviceMemoryPool final : public BufferAllocator {
  public:
@@ -76,8 +78,12 @@ class DeviceMemoryPool final : public BufferAllocator {
   std::size_t live_allocations() const { return buffers_.size(); }
 
  private:
+  struct AlignedDelete {
+    void operator()(std::byte* p) const { ::operator delete[](p, std::align_val_t{kAlignment}); }
+  };
   struct Block {
-    std::vector<std::byte> data;
+    std::unique_ptr<std::byte[], AlignedDelete> data;
+    std::size_t size = 0;
     std::int64_t reserved = 0;  ///< aligned size charged against capacity
   };
 
